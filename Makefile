@@ -110,6 +110,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzDecodeBatch$$' -fuzztime 30s ./internal/protocol/
 	$(GO) test -run xxx -fuzz 'FuzzDecodeMessage$$' -fuzztime 30s ./internal/protocol/
 	$(GO) test -run xxx -fuzz FuzzDecodeCSCS -fuzztime 30s ./internal/fb/
+	$(GO) test -run xxx -fuzz FuzzFBKernels -fuzztime 30s ./internal/fb/
 	$(GO) test -run xxx -fuzz FuzzTileCache -fuzztime 30s ./internal/core/
 
 # Regenerate every table and figure from the paper (quick corpus).

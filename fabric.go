@@ -49,9 +49,13 @@ type Fabric struct {
 
 	// dropEvery, when positive, drops every Nth display datagram on the
 	// server→console path — loss injection for exercising the protocol's
-	// replay recovery. Control traffic is never dropped.
+	// replay recovery. Control traffic is never dropped. phase counts
+	// display datagrams since the last SetLoss and picks which one drops;
+	// delivered and dropped are the cumulative LossStats counters, which
+	// only ever grow, so re-arming loss never skews them.
 	dropEvery int
-	sent      int
+	phase     int
+	delivered int
 	dropped   int
 
 	// Delivery is flattened into a FIFO: a datagram sent while another is
@@ -168,14 +172,15 @@ func (f *Fabric) SetLoss(dropEvery int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.dropEvery = dropEvery
-	f.sent = 0
+	f.phase = 0
 }
 
-// LossStats reports display datagrams delivered and dropped.
+// LossStats reports display datagrams delivered and dropped while loss
+// injection was armed, cumulative across SetLoss calls.
 func (f *Fabric) LossStats() (delivered, dropped int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.sent - f.dropped, f.dropped
+	return f.delivered, f.dropped
 }
 
 // isDisplayDatagram peeks at a plain-framed datagram's type byte.
@@ -205,8 +210,10 @@ func (f *Fabric) Send(consoleID string, wire []byte) error {
 		f.capture.Tap(capture.DirDown, consoleID, -1, wire, f.clock)
 	}
 	if f.dropEvery > 0 && isDisplayDatagram(wire) {
-		f.sent++
-		if f.sent%f.dropEvery == 0 {
+		f.phase++
+		if f.phase%f.dropEvery != 0 {
+			f.delivered++
+		} else {
 			f.dropped++
 			f.metrics.dropped.Inc()
 			srv := f.servers[consoleID]

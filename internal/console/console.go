@@ -257,7 +257,11 @@ func (c *Console) Handle(seq uint32, msg protocol.Message, now time.Duration) ([
 		if c.cfg.Calibrator != nil {
 			c.cfg.Calibrator.ObserveMsg(msg, pure)
 		}
-		c.serviceTimes.Add(svc.Seconds())
+		if c.cfg.Costs != nil {
+			// Without a cost model svc is always 0; recording it would
+			// only grow the sample by 8 bytes per command forever.
+			c.serviceTimes.Add(svc.Seconds())
+		}
 		if c.flog.Armed() {
 			c.flog.Decode(seq, msg.Type(), svc.Nanoseconds())
 			c.flog.Paint(seq, msg.Type())
@@ -430,7 +434,8 @@ func (c *Console) Framebuffer() *fb.Framebuffer {
 }
 
 // ServiceTimes returns the observed display service-time sample in seconds
-// (Figure 7's data).
+// (Figure 7's data). Service times are modelled, so the sample stays empty
+// on a console without a cost model.
 func (c *Console) ServiceTimes() *stats.CDF {
 	c.mu.Lock()
 	defer c.mu.Unlock()

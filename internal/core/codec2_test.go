@@ -255,3 +255,123 @@ func BenchmarkHotpath_Codec2ReexposeFrame(b *testing.B) {
 	b.Run("gen2", func(b *testing.B) { run(b, true) })
 	b.Run("gen1", func(b *testing.B) { run(b, false) })
 }
+
+// scrollRig is a 1024×768 gen-2 terminal screen full of text, with the
+// console's half of the pipeline modelled in-package: a retaining tile
+// cache beside a console frame buffer, applying each emitted command the
+// way console.Handle does. newline runs one terminal newline — COPY the
+// body up one 16-pixel text row, FILL the freed bottom row — with reused
+// messages, so what it measures is the frame-buffer and cache work on
+// both ends.
+type scrollRig struct {
+	e      *Encoder
+	conFB  *fb.Framebuffer
+	cache  *TileCache
+	scroll *protocol.Copy
+	clear  *protocol.Fill
+}
+
+func newScrollRig(tb testing.TB) *scrollRig {
+	const w, h, glyphW, glyphH = 1024, 768, 8, 16
+	r := &scrollRig{
+		e:     NewEncoder(w, h),
+		conFB: fb.New(w, h),
+		cache: NewTileCache(DefaultTileCacheEntries, true),
+		scroll: &protocol.Copy{
+			Rect: protocol.Rect{Y: glyphH, W: w, H: h - glyphH},
+		},
+		clear: &protocol.Fill{Rect: protocol.Rect{Y: h - glyphH, W: w, H: glyphH}, Color: 0x101020},
+	}
+	r.e.EnableCodec2(0)
+	var glyphs [16][glyphH]byte
+	for i := range glyphs {
+		for j := range glyphs[i] {
+			glyphs[i][j] = byte((i*131 + j*29) * 2654435761 >> 11)
+		}
+	}
+	for y := 0; y < h; y += glyphH {
+		for x := 0; x < w; x += glyphW {
+			op := TextOp{
+				Rect: protocol.Rect{X: x, Y: y, W: glyphW, H: glyphH},
+				Fg:   0xe0e0e0, Bg: 0x101020,
+				Bits: glyphs[(x/glyphW*7+y/glyphH*3)%len(glyphs)][:],
+			}
+			dgs, err := r.e.Encode(op)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			for i := range dgs {
+				r.apply(tb, dgs[i].Msg)
+				dgs[i].ReleaseWire()
+			}
+		}
+	}
+	return r
+}
+
+// apply is the console half: render msg (a CACHE_PAINT blits its cached
+// tile) and run the mirrored insert rule.
+func (r *scrollRig) apply(tb testing.TB, msg protocol.Message) {
+	if cp, ok := msg.(*protocol.CachePaint); ok {
+		pix, hit := r.cache.Lookup(cp.Key, cp.Rect.W, cp.Rect.H)
+		if !hit {
+			tb.Fatalf("console cache misses claimed key %#x", cp.Key)
+		}
+		if err := r.conFB.Set(cp.Rect, pix); err != nil {
+			tb.Fatal(err)
+		}
+		return
+	}
+	if err := r.conFB.Apply(msg); err != nil {
+		tb.Fatal(err)
+	}
+	r.cache.NoteApply(r.conFB, msg)
+}
+
+func (r *scrollRig) newline(tb testing.TB) {
+	r.e.FB.Copy(r.scroll.Rect, r.scroll.DstX, r.scroll.DstY)
+	d := r.e.emit(r.scroll)
+	r.apply(tb, d.Msg)
+	d.ReleaseWire()
+	r.e.FB.Fill(r.clear.Rect, r.clear.Color)
+	d = r.e.emit(r.clear)
+	r.apply(tb, d.Msg)
+	d.ReleaseWire()
+}
+
+// TestCodec2ScrollZeroAlloc holds the gen-2 scroll path — COPY plus the
+// mirrored re-insert of every destination tile on both ends — to zero
+// allocations per newline once the replay ring and buffer pool are warm,
+// and checks the two ends still agree afterwards.
+func TestCodec2ScrollZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	r := newScrollRig(t)
+	for i := 0; i < 200; i++ {
+		r.newline(t)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.newline(t) }); allocs > 0.01 {
+		t.Errorf("gen-2 scroll path allocates %.3f objects/newline, want 0", allocs)
+	}
+	if !r.conFB.Equal(r.e.FB) {
+		t.Fatal("console frame buffer diverged from the server's")
+	}
+	if r.cache.Len() != r.e.codec2.cache.Len() {
+		t.Fatalf("cache sizes diverged: console %d, server %d", r.cache.Len(), r.e.codec2.cache.Len())
+	}
+}
+
+// BenchmarkHotpath_Codec2Scroll measures one terminal newline on a
+// 1024×768 gen-2 session, server encode plus console apply: the
+// frame-buffer COPY on each end and the mirrored tile-cache re-insert of
+// the 64×47 destination tiles on each end.
+func BenchmarkHotpath_Codec2Scroll(b *testing.B) {
+	r := newScrollRig(b)
+	r.newline(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.newline(b)
+	}
+}

@@ -31,7 +31,11 @@ import (
 // pixel (Table 5).
 type Framebuffer struct {
 	W, H int
-	Pix  []protocol.Pixel
+	// Pix is the pixel store. Reading it directly is fine; writing it
+	// directly is supported only before the first HashRect call, because
+	// the hash memo cannot see such writes. Later writes go through the
+	// kernels (Set, Fill, Bitmap, Copy, ApplyCSCS, SetAt).
+	Pix []protocol.Pixel
 
 	damage  protocol.Rect
 	damaged bool
@@ -49,6 +53,11 @@ type Framebuffer struct {
 	// allocates nothing per frame (§7's sustained-stream case).
 	cscsDecode []protocol.Pixel
 	cscsScale  []protocol.Pixel
+
+	// hashes memoizes HashRect per whole hashCell×hashCell grid cell,
+	// row-major, 0 meaning unknown; see hash.go. Nil until the first
+	// cell-aligned HashRect, so frame buffers nobody hashes never pay.
+	hashes []uint64
 }
 
 // New returns a zeroed (black) frame buffer. It panics on non-positive
@@ -79,6 +88,7 @@ func (f *Framebuffer) SetAt(x, y int, p protocol.Pixel) {
 		return
 	}
 	f.Pix[y*f.W+x] = p
+	f.forgetHashes(protocol.Rect{X: x, Y: y, W: 1, H: 1})
 }
 
 // clip returns r clipped to the frame buffer.
@@ -86,8 +96,17 @@ func (f *Framebuffer) clip(r protocol.Rect) protocol.Rect {
 	return r.Intersect(f.Bounds())
 }
 
-// noteDamage extends the damage region to cover r.
+// noteDamage records a write to the clipped rectangle r: it forgets the
+// memoized hashes of the cells r touches and extends the damage region.
+// Every kernel except Copy, which carries hashes along, reports its
+// writes here.
 func (f *Framebuffer) noteDamage(r protocol.Rect) {
+	f.forgetHashes(r)
+	f.extendDamage(r)
+}
+
+// extendDamage extends the damage region to cover r.
+func (f *Framebuffer) extendDamage(r protocol.Rect) {
 	if r.Empty() {
 		return
 	}
@@ -268,7 +287,8 @@ func (f *Framebuffer) Copy(src protocol.Rect, dstX, dstY int) {
 		H: dst.H,
 	}
 	// Choose iteration order so overlapping copies are safe.
-	if dst.Y > src.Y || (dst.Y == src.Y && dst.X > src.X) {
+	backward := dst.Y > src.Y || (dst.Y == src.Y && dst.X > src.X)
+	if backward {
 		for y := src.H - 1; y >= 0; y-- {
 			f.copyRow(src, dst, y)
 		}
@@ -277,7 +297,8 @@ func (f *Framebuffer) Copy(src protocol.Rect, dstX, dstY int) {
 			f.copyRow(src, dst, y)
 		}
 	}
-	f.noteDamage(dst)
+	f.moveHashes(src, dst, backward)
+	f.extendDamage(dst)
 }
 
 func (f *Framebuffer) copyRow(src, dst protocol.Rect, y int) {

@@ -375,6 +375,9 @@ func TestConsoleApplyZeroAlloc(t *testing.T) {
 // reference kernels in lockstep and requires bit-identical frame buffers
 // after every op — negative-origin rects, fully and partially clipped
 // rects, and overlapping copies in all four shift directions included.
+// After every op each whole grid cell's memoized HashRect must also equal
+// a fresh hash of its pixels; the check itself re-primes the memo, so
+// every op runs against a fully memoized frame buffer.
 func FuzzFBKernels(f *testing.F) {
 	f.Add(int64(1), uint8(16))
 	f.Add(int64(42), uint8(200))
@@ -385,9 +388,10 @@ func FuzzFBKernels(f *testing.F) {
 		fast := randomFB(rng, w, h)
 		slow := cloneFB(fast)
 		ops := int(nOps)%24 + 1
+		requireMemoExact(t, fast)
 		for i := 0; i < ops; i++ {
 			r := randRect(rng, w, h)
-			switch rng.Intn(6) {
+			switch rng.Intn(8) {
 			case 0:
 				c := protocol.Pixel(rng.Uint32() & 0xffffff)
 				fast.Fill(r, c)
@@ -426,10 +430,27 @@ func FuzzFBKernels(f *testing.F) {
 				if len(got) != len(want) {
 					t.Fatalf("op %d: ReadRect %v lengths %d vs %d", i, r, len(got), len(want))
 				}
+			case 6:
+				// Cell-aligned copy by a whole-cell shift, possibly
+				// clipped: the case that carries memoized hashes.
+				a := protocol.Rect{
+					X: hashCell * (rng.Intn(4) - 1), Y: hashCell * (rng.Intn(3) - 1),
+					W: hashCell * (rng.Intn(3) + 1), H: hashCell * (rng.Intn(2) + 1),
+				}
+				dx := a.X + hashCell*(rng.Intn(5)-2)
+				dy := a.Y + hashCell*(rng.Intn(5)-2)
+				fast.Copy(a, dx, dy)
+				slow.slowCopy(a, dx, dy)
+			case 7:
+				x, y := rng.Intn(w+2)-1, rng.Intn(h+2)-1
+				p := protocol.Pixel(rng.Uint32() & 0xffffff)
+				fast.SetAt(x, y, p)
+				slow.SetAt(x, y, p)
 			}
 			if !fast.slowEqual(slow) {
 				t.Fatalf("op %d: frame buffers diverged", i)
 			}
+			requireMemoExact(t, fast)
 		}
 		// Final full-surface checks.
 		if n, _ := fast.DiffPixels(slow); n != 0 {

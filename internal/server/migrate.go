@@ -148,8 +148,10 @@ func (s *Server) ImportSession(sn *SessionSnapshot) error {
 		User:    sn.User,
 		Encoder: core.NewEncoder(sn.W, sn.H),
 	}
+	if err := sess.Encoder.FB.Set(sess.Encoder.FB.Bounds(), sn.Pixels); err != nil {
+		return fmt.Errorf("server: import %q frame buffer: %w", sn.User, err)
+	}
 	s.instrumentSession(sess)
-	copy(sess.Encoder.FB.Pix, sn.Pixels)
 	sess.Encoder.ResumeAt(sn.LastSeq)
 	if s.flowCfg != nil {
 		sess.fm = flow.NewMetrics(s.obs, sn.User)

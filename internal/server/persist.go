@@ -101,10 +101,14 @@ func (s *Server) LoadSessions(r io.Reader) error {
 			User:    si.User,
 			Encoder: core.NewEncoder(si.W, si.H),
 		}
-		s.instrumentSession(sess)
+		pix := make([]protocol.Pixel, len(si.Pixels))
 		for i, p := range si.Pixels {
-			sess.Encoder.FB.Pix[i] = protocol.Pixel(p)
+			pix[i] = protocol.Pixel(p)
 		}
+		if err := sess.Encoder.FB.Set(sess.Encoder.FB.Bounds(), pix); err != nil {
+			return fmt.Errorf("server: restore %q frame buffer: %w", si.User, err)
+		}
+		s.instrumentSession(sess)
 		if s.NewApp != nil {
 			sess.App = s.NewApp(si.User, si.W, si.H)
 			if p, ok := sess.App.(Persistent); ok && si.AppState != nil {
