@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench cover fuzz reproduce examples clean race bench-guard bench-json alloc-guard capacity capacity-smoke fleet-smoke netqual netqual-smoke codec2 codec2-smoke ci
+.PHONY: all build test vet bench cover fuzz reproduce examples clean race bench-guard bench-json alloc-guard capacity capacity-smoke fleet-smoke netqual netqual-smoke codec2 codec2-smoke e2ebench-test ci
 
 all: build test
 
@@ -96,10 +96,17 @@ codec2-smoke:
 fleet-smoke:
 	$(GO) test -run 'TestFleetSmoke' -count 1 -v .
 
-# CI-style gate: static checks, race-detected tests, benchmark smoke run,
-# allocation budgets, capacity-curve smoke, path-estimation smoke, gen-2
-# codec smoke, fleet smoke.
-ci: vet race bench-guard alloc-guard capacity-smoke netqual-smoke codec2-smoke fleet-smoke
+# The wall-clock benchmark is a nested module (e2ebench/go.mod), so the
+# vet and test targets above never reach it.
+e2ebench-test:
+	$(GO) -C e2ebench vet ./...
+	$(GO) -C e2ebench test ./...
+
+# CI-style gate: static checks, the nested benchmark module's vet and
+# tests, race-detected tests, benchmark smoke run, allocation budgets,
+# capacity-curve smoke, path-estimation smoke, gen-2 codec smoke, fleet
+# smoke.
+ci: vet e2ebench-test race bench-guard alloc-guard capacity-smoke netqual-smoke codec2-smoke fleet-smoke
 
 cover:
 	$(GO) test -cover ./...

@@ -57,7 +57,7 @@ func TestDialConsoleContextCanceled(t *testing.T) {
 
 // TestUDPServerConcurrentClose checks Close is safe to race with itself.
 func TestUDPServerConcurrentClose(t *testing.T) {
-	srv, err := ListenAndServe("127.0.0.1:0", WithTerminalApp())
+	srv, err := ListenAndServeContext(context.Background(), "127.0.0.1:0", WithTerminalApp())
 	if err != nil {
 		t.Fatal(err)
 	}

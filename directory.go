@@ -144,8 +144,7 @@ func (b *Broker) MigrateUser(user string, shard int, now time.Duration) error {
 //     gauges from different shards would clobber each other), and the
 //     broker republishes the fleet view into the WithMetricsRegistry
 //     registry (obs.Default if none) as slim_broker_* series with
-//     shard-labeled session gauges. Per-shard registries remain reachable
-//     via Shard(i).Obs().
+//     shard-labeled session gauges.
 //   - Session IDs: shard i issues IDs from a disjoint base so IDs stay
 //     unique fleet-wide across migrations.
 func NewBroker(ctx context.Context, cfg BrokerConfig, t Transport, newApp AppFactory, opts ...ServerOption) (*Broker, error) {

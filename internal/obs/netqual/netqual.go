@@ -195,8 +195,8 @@ func (t *Tracker) Session(id uint32, user string) *PathSession {
 		return s
 	}
 	s = &PathSession{t: t, id: id, user: user}
-	s.short.slotNs = int64(t.cfg.ShortWindow) / slotsPerWindow
-	s.long.slotNs = int64(t.cfg.LongWindow) / slotsPerWindow
+	s.short.Init(t.cfg.ShortWindow)
+	s.long.Init(t.cfg.LongWindow)
 	if t.reg != nil {
 		s.gSRTT = t.reg.Gauge(`slim_netqual_srtt_ns{session="` + user + `"}`)
 		s.gJitter = t.reg.Gauge(`slim_netqual_jitter_ns{session="` + user + `"}`)
@@ -286,7 +286,9 @@ type PathSession struct {
 	prevGapNs int64  // previous STATUS inter-arrival gap
 	haveGap   bool
 
-	short, long window
+	// short and long count acked sequences, lost sequences and acked
+	// bytes, in that counter order.
+	short, long obs.Window
 
 	// Per-session labeled gauges (nil when the tracker is uninstrumented).
 	gSRTT, gJitter, gLoss, gGoodput *obs.Gauge
@@ -392,8 +394,8 @@ func (s *PathSession) OnStatus(now time.Duration, lastSeq, dropped uint32) {
 				acked += (n - walk) * (s.sentBytes.Load() / pkts)
 			}
 		}
-		s.short.observe(nowNs, n, 0, acked)
-		s.long.observe(nowNs, n, 0, acked)
+		s.short.Add(nowNs, n, 0, acked)
+		s.long.Add(nowNs, n, 0, acked)
 		t.cAckedBytes.Add(acked)
 
 		// RTT sample from the newest acked sequence, Karn-filtered.
@@ -487,8 +489,8 @@ func (s *PathSession) Rebase(now time.Duration) {
 
 // lose charges n lost packets to both windows and the fleet counter.
 func (s *PathSession) lose(nowNs, n int64) {
-	s.short.observe(nowNs, 0, n, 0)
-	s.long.observe(nowNs, 0, n, 0)
+	s.short.Add(nowNs, 0, n, 0)
+	s.long.Add(nowNs, 0, n, 0)
 	s.t.cLost.Add(n)
 }
 
@@ -527,12 +529,9 @@ func (s *PathSession) publishRates(nowNs int64) {
 	if s.gLoss == nil && s.gGoodput == nil {
 		return
 	}
-	acked, lost, ackedBytes := s.short.totals(nowNs)
+	acked, lost, ackedBytes := s.short.Totals(nowNs)
 	s.gLoss.Set(permille(lost, acked))
-	span := s.short.spanNs()
-	if span > 0 {
-		s.gGoodput.Set(ackedBytes * 8 * int64(time.Second) / span)
-	}
+	s.gGoodput.Set(ackedBytes * 8 * int64(time.Second) / int64(s.short.Span()))
 }
 
 // permille returns ⌊1000*num/den⌋ clamped to [0, 1000], 0 when den is 0.
@@ -593,7 +592,7 @@ func (s *PathSession) LossShortAt(now time.Duration) float64 {
 	if s == nil {
 		return 0
 	}
-	acked, lost, _ := s.short.totals(int64(now))
+	acked, lost, _ := s.short.Totals(int64(now))
 	return lossFrac(acked, lost)
 }
 
@@ -602,7 +601,7 @@ func (s *PathSession) LossLongAt(now time.Duration) float64 {
 	if s == nil {
 		return 0
 	}
-	acked, lost, _ := s.long.totals(int64(now))
+	acked, lost, _ := s.long.Totals(int64(now))
 	return lossFrac(acked, lost)
 }
 
@@ -612,12 +611,8 @@ func (s *PathSession) GoodputAt(now time.Duration) float64 {
 	if s == nil {
 		return 0
 	}
-	_, _, ackedBytes := s.short.totals(int64(now))
-	span := s.short.spanNs()
-	if span <= 0 {
-		return 0
-	}
-	return float64(ackedBytes*8) * float64(time.Second) / float64(span)
+	_, _, ackedBytes := s.short.Totals(int64(now))
+	return float64(ackedBytes*8) * float64(time.Second) / float64(s.short.Span())
 }
 
 // lossFrac is lost/acked clamped to [0, 1]. The ack watermark advances

@@ -95,7 +95,7 @@ func TestReorderedAcks(t *testing.T) {
 		s.OnSend(time.Duration(i)*msec, i, 100, false)
 	}
 	s.OnStatus(20*msec, 5, 0)
-	acked, _, bytes := s.short.totals(int64(20 * msec))
+	acked, _, bytes := s.short.Totals(int64(20 * msec))
 	if acked != 5 || bytes != 500 {
 		t.Fatalf("acked=%d bytes=%d, want 5/500", acked, bytes)
 	}
@@ -103,7 +103,7 @@ func TestReorderedAcks(t *testing.T) {
 
 	// Reordered: an older STATUS for seq 3 arrives late.
 	s.OnStatus(25*msec, 3, 0)
-	acked2, _, bytes2 := s.short.totals(int64(25 * msec))
+	acked2, _, bytes2 := s.short.Totals(int64(25 * msec))
 	if acked2 != acked || bytes2 != bytes {
 		t.Errorf("stale status re-acked: %d/%d, want %d/%d", acked2, bytes2, acked, bytes)
 	}
@@ -120,17 +120,17 @@ func TestDuplicateNacks(t *testing.T) {
 	now := 10 * msec
 
 	s.OnNack(now, 3, 5)
-	if _, lost, _ := s.short.totals(int64(now)); lost != 3 {
+	if _, lost, _ := s.short.Totals(int64(now)); lost != 3 {
 		t.Fatalf("lost = %d, want 3", lost)
 	}
 	s.OnNack(now+msec, 3, 5) // exact duplicate
 	s.OnNack(now+2*msec, 4, 5)
-	if _, lost, _ := s.short.totals(int64(now + 2*msec)); lost != 3 {
+	if _, lost, _ := s.short.Totals(int64(now + 2*msec)); lost != 3 {
 		t.Errorf("duplicate NACKs double-counted: lost = %d, want 3", lost)
 	}
 	// A partially-overlapping range counts only the fresh tail.
 	s.OnNack(now+3*msec, 5, 7)
-	if _, lost, _ := s.short.totals(int64(now + 3*msec)); lost != 5 {
+	if _, lost, _ := s.short.Totals(int64(now + 3*msec)); lost != 5 {
 		t.Errorf("overlapping NACK: lost = %d, want 5", lost)
 	}
 }
@@ -169,7 +169,7 @@ func TestMigrationRebase(t *testing.T) {
 	s.OnProbe(55 * msec)             // grant probe open across the cutover
 
 	srtt, jit := s.SRTT(), s.Jitter()
-	ackedBefore, lostBefore, _ := s.short.totals(int64(60 * msec))
+	ackedBefore, lostBefore, _ := s.short.Totals(int64(60 * msec))
 
 	// The destination shard resolves the same session and rebases.
 	if got := tr.Session(1, "alice"); got != s {
@@ -181,7 +181,7 @@ func TestMigrationRebase(t *testing.T) {
 		t.Errorf("rebase disturbed smoothed estimates: srtt %v->%v jitter %v->%v",
 			srtt, s.SRTT(), jit, s.Jitter())
 	}
-	acked, lost, _ := s.short.totals(int64(60 * msec))
+	acked, lost, _ := s.short.Totals(int64(60 * msec))
 	if acked != ackedBefore || lost != lostBefore {
 		t.Errorf("rebase disturbed loss windows: acked %d->%d lost %d->%d",
 			ackedBefore, acked, lostBefore, lost)
@@ -207,7 +207,7 @@ func TestMigrationRebase(t *testing.T) {
 		t.Errorf("post-cutover SRTT = %v, want %v", got, want)
 	}
 	// And no loss spike: the cutover itself charged nothing.
-	if _, lost, _ := s.short.totals(int64(120 * msec)); lost != lostBefore {
+	if _, lost, _ := s.short.Totals(int64(120 * msec)); lost != lostBefore {
 		t.Errorf("cutover charged %d lost packets", lost-lostBefore)
 	}
 }
@@ -250,7 +250,7 @@ func TestConsoleDrops(t *testing.T) {
 	s.OnStatus(msec, 0, 2)
 	s.OnStatus(2*msec, 0, 2) // unchanged: no new loss
 	s.OnStatus(3*msec, 0, 5)
-	if _, lost, _ := s.short.totals(int64(3 * msec)); lost != 5 {
+	if _, lost, _ := s.short.Totals(int64(3 * msec)); lost != 5 {
 		t.Errorf("lost = %d, want 5", lost)
 	}
 }
@@ -345,26 +345,5 @@ func TestStatusReport(t *testing.T) {
 	}
 	if _, ok := tr.SessionStatusAt(99, 0); ok {
 		t.Error("SessionStatusAt(99) found a ghost session")
-	}
-}
-
-// TestWindowRotation pins the slot-expiry arithmetic directly.
-func TestWindowRotation(t *testing.T) {
-	w := &window{slotNs: int64(time.Second)}
-	w.observe(int64(time.Second), 10, 1, 1000)
-	if a, l, b := w.totals(int64(time.Second)); a != 10 || l != 1 || b != 1000 {
-		t.Fatalf("totals = %d/%d/%d", a, l, b)
-	}
-	// Still visible 15 slots later, gone at 16.
-	if a, _, _ := w.totals(int64(16 * time.Second)); a != 10 {
-		t.Errorf("slot expired early: acked=%d", a)
-	}
-	if a, _, _ := w.totals(int64(17 * time.Second)); a != 0 {
-		t.Errorf("slot survived expiry: acked=%d", a)
-	}
-	// Re-observing a recycled slot resets it.
-	w.observe(int64(17*time.Second), 3, 0, 300)
-	if a, l, b := w.totals(int64(17 * time.Second)); a != 3 || l != 0 || b != 300 {
-		t.Errorf("recycled slot totals = %d/%d/%d", a, l, b)
 	}
 }

@@ -116,73 +116,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// slotsPerWindow is the ring resolution: each rolling window is tracked in
-// this many epoch-tagged slots, so totals cover the trailing window with
-// one-slot granularity and expire without any sweeper goroutine.
-const slotsPerWindow = 16
-
-// winSlot is one epoch-tagged accumulator. Rotation is racy by design: the
-// writer that CASes the slot to a new epoch resets the counts, and a
-// concurrent add straddling the rotation can be wiped — a bounded
-// undercount at slot boundaries, which SLO accounting tolerates in
-// exchange for a lock-free observe path.
-type winSlot struct {
-	epoch            atomic.Int64
-	events, breaches atomic.Int64
-}
-
-// window is one rolling breach-rate window.
-type window struct {
-	slotNs int64
-	slots  [slotsPerWindow]winSlot
-}
-
-func (w *window) init(d time.Duration) {
-	w.slotNs = int64(d) / slotsPerWindow
-	if w.slotNs <= 0 {
-		w.slotNs = 1
-	}
-	for i := range w.slots {
-		w.slots[i].epoch.Store(-1)
-	}
-}
-
-// observe counts one event at time nowNs.
-func (w *window) observe(nowNs int64, breach bool) {
-	e := nowNs / w.slotNs
-	s := &w.slots[int(e%slotsPerWindow+slotsPerWindow)%slotsPerWindow]
-	cur := s.epoch.Load()
-	if cur != e {
-		if cur > e {
-			return // stale event from a lagging writer; its slot is gone
-		}
-		if s.epoch.CompareAndSwap(cur, e) {
-			s.events.Store(0)
-			s.breaches.Store(0)
-		} else if s.epoch.Load() != e {
-			return
-		}
-	}
-	s.events.Add(1)
-	if breach {
-		s.breaches.Add(1)
-	}
-}
-
-// totals sums the window's live slots as of nowNs.
-func (w *window) totals(nowNs int64) (events, breaches int64) {
-	cur := nowNs / w.slotNs
-	min := cur - slotsPerWindow + 1
-	for i := range w.slots {
-		s := &w.slots[i]
-		if e := s.epoch.Load(); e >= min && e <= cur {
-			events += s.events.Load()
-			breaches += s.breaches.Load()
-		}
-	}
-	return events, breaches
-}
-
 // WindowStat is one window's point-in-time evaluation.
 type WindowStat struct {
 	// Role is "short", "mid", or "long"; Window is its duration.
@@ -210,30 +143,35 @@ func stateOf(burns [numWindows]float64) State {
 	return StateOK
 }
 
-// windows is the per-scope (session or fleet) rolling state.
+// windows is the per-scope (session or fleet) rolling state. Each
+// obs.Window counts events in its first counter and breaches in its second.
 type windows struct {
-	win [numWindows]window
+	win [numWindows]obs.Window
 }
 
 func (ws *windows) init(cfg Config) {
-	ws.win[WinShort].init(cfg.Short)
-	ws.win[WinMid].init(cfg.Mid)
-	ws.win[WinLong].init(cfg.Long)
+	ws.win[WinShort].Init(cfg.Short)
+	ws.win[WinMid].Init(cfg.Mid)
+	ws.win[WinLong].Init(cfg.Long)
 }
 
 func (ws *windows) observe(nowNs int64, breach bool) {
+	var b int64
+	if breach {
+		b = 1
+	}
 	for i := range ws.win {
-		ws.win[i].observe(nowNs, breach)
+		ws.win[i].Add(nowNs, 1, b, 0)
 	}
 }
 
 // eval computes the three burns as of nowNs.
 func (ws *windows) eval(nowNs int64, budget float64) (burns [numWindows]float64, stats [numWindows]WindowStat) {
 	for i := range ws.win {
-		ev, br := ws.win[i].totals(nowNs)
+		ev, br, _ := ws.win[i].Totals(nowNs)
 		st := WindowStat{
 			Role:     windowRoles[i],
-			Window:   time.Duration(ws.win[i].slotNs * slotsPerWindow),
+			Window:   ws.win[i].Span(),
 			Events:   ev,
 			Breaches: br,
 		}

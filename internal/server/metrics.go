@@ -3,8 +3,11 @@ package server
 import (
 	"fmt"
 
-	"slim/internal/core"
+	"slim/internal/flow"
 	"slim/internal/obs"
+	"slim/internal/obs/flight"
+	"slim/internal/obs/netqual"
+	"slim/internal/obs/slo"
 )
 
 // metrics is the session manager's live instrument set, resolved once per
@@ -41,49 +44,66 @@ func newMetrics(r *obs.Registry) *metrics {
 }
 
 // sessionHistogramName is the per-session input-to-paint histogram's
-// registry key — shared by resolution here and removal in Terminate, so
-// terminated sessions do not leak labeled series.
+// registry key — shared by resolution and release, so terminated sessions
+// do not leak labeled series.
 func sessionHistogramName(user string) string {
 	return fmt.Sprintf("slim_input_to_paint_seconds{session=%q}", user)
 }
 
-// sessionHistogram resolves the per-session input-to-paint histogram.
-func sessionHistogram(r *obs.Registry, user string) *obs.Histogram {
-	return r.Histogram(sessionHistogramName(user))
+// sessionTelemetry is a session's observability handle: every per-session
+// series and tracker entry, resolved in one place (newTelemetry, called by
+// the session constructor) and released in one place (release).
+type sessionTelemetry struct {
+	// itp is the session's live input-to-paint histogram (§3's canonical
+	// interactive-latency metric), labeled with the user name.
+	itp *obs.Histogram
+	// flog is the session's flight-recorder ring: every protocol event on
+	// this session's display path lands here, causally chained.
+	flog *flight.SessionLog
+	// fm owns the session's labeled flow gauges; nil without flow control.
+	fm *flow.Metrics
+	// slo is the session's rolling SLO state (breach-rate windows, blame
+	// histogram) in the server's tracker.
+	slo *slo.SessionSLO
+	// nq is the session's passive path estimator (RTT/jitter/loss/goodput)
+	// in the server's netqual tracker. Estimators are keyed by the
+	// fleet-unique session ID, so a hotdesk migration resolves the same
+	// estimator on the destination shard and smoothed state survives.
+	nq *netqual.PathSession
 }
 
-// Instrument points the server's live metrics at r (the process-wide
-// obs.Default unless redirected — hermetic tests hand each server its own
-// registry). Call it before the first session is created; encoders and
-// histograms already resolved keep reporting to the old registry.
-func (s *Server) Instrument(r *obs.Registry) *Server {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.obs = r
-	s.metrics = newMetrics(r)
-	s.encMetrics = core.NewEncoderMetrics(r)
-	return s
+// newTelemetry resolves a session's handle in the server's registry and
+// trackers. The flight ring, SLO state and path estimator are keyed by
+// session ID, so a session imported under the ID it was exported with
+// picks up the state it left behind.
+func (s *Server) newTelemetry(id uint32, user string) sessionTelemetry {
+	t := sessionTelemetry{
+		itp:  s.obs.Histogram(sessionHistogramName(user)),
+		flog: s.flight.Session(id),
+		slo:  s.slo.Session(id, user),
+		nq:   s.netqual.Session(id, user),
+	}
+	if s.flowCfg != nil {
+		t.fm = flow.NewMetrics(s.obs, user)
+	}
+	return t
 }
 
-// instrumentSession attaches the live instruments a session encoder and
-// its input-to-paint histogram report through, plus the session's flight
-// ring. Callers hold s.mu.
-func (s *Server) instrumentSession(sess *Session) {
-	sess.Encoder.Metrics = s.encMetrics
-	sess.Encoder.Parallel = s.encPool
-	sess.itp = sessionHistogram(s.obs, sess.User)
-	sess.flog = s.flight.Session(sess.ID)
-	sess.Encoder.Flight = sess.flog
-	sess.slo = s.slo.Session(sess.ID, sess.User)
-	sess.nq = s.netqual.Session(sess.ID, sess.User)
+// release evicts the handle's per-server series — the labeled histogram
+// and the flow gauges — from s's registry. With evictByID it also drops
+// the state the shared trackers key by session ID: the flight ring, the
+// SLO state and the path estimator. Terminate evicts everything;
+// ExportSession keeps the ID-keyed state, because the session lives on
+// under the same ID on the importing server.
+func (t *sessionTelemetry) release(s *Server, id uint32, user string, evictByID bool) {
+	s.obs.Remove(sessionHistogramName(user))
+	t.fm.Unregister(s.obs)
+	if evictByID {
+		s.flight.Drop(id)
+		s.slo.Remove(id)
+		s.netqual.Remove(id)
+	}
 }
 
 // InputToPaint exposes the session's live input-to-paint histogram.
 func (sess *Session) InputToPaint() *obs.Histogram { return sess.itp }
-
-// Obs reports the registry the server publishes metrics into.
-func (s *Server) Obs() *obs.Registry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.obs
-}

@@ -12,16 +12,17 @@ import (
 	"slim/internal/par"
 )
 
-// Option configures a Server at construction. Options run before the
-// server is instrumented, so redirected registries and recorders are in
-// place before the first session resolves its instruments.
+// Option configures a Server at construction. Options are the only way to
+// redirect a server's telemetry: they run before New resolves the server's
+// instruments, so redirected registries and trackers are in place before
+// the first session resolves its own.
 type Option func(*Server)
 
 // WithRegistry redirects live metrics into r instead of the process-wide
 // obs.Default — hermetic tests and virtual-time simulations hand each
 // server its own registry.
 func WithRegistry(r *obs.Registry) Option {
-	return func(s *Server) { s.optObs = r }
+	return func(s *Server) { s.obs = r }
 }
 
 // WithFlightRecorder points the server's causal flight recorder at rec
@@ -125,7 +126,7 @@ func ResolveOptions(opts ...Option) Resolved {
 	for _, o := range opts {
 		o(&probe)
 	}
-	return Resolved{Registry: probe.optObs, Logger: probe.log, NetQual: probe.netqual}
+	return Resolved{Registry: probe.obs, Logger: probe.log, NetQual: probe.netqual}
 }
 
 // WithFlowControl enables the grant-driven send governor (§7) for every

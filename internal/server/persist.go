@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"slim/internal/core"
 	"slim/internal/protocol"
 )
 
@@ -96,30 +95,33 @@ func (s *Server) LoadSessions(r io.Reader) error {
 		if si.W <= 0 || si.H <= 0 || len(si.Pixels) != si.W*si.H {
 			return fmt.Errorf("server: corrupt session image for %q", si.User)
 		}
-		sess := &Session{
-			ID:      si.ID,
-			User:    si.User,
-			Encoder: core.NewEncoder(si.W, si.H),
-		}
 		pix := make([]protocol.Pixel, len(si.Pixels))
 		for i, p := range si.Pixels {
 			pix[i] = protocol.Pixel(p)
 		}
-		if err := sess.Encoder.FB.Set(sess.Encoder.FB.Bounds(), pix); err != nil {
-			return fmt.Errorf("server: restore %q frame buffer: %w", si.User, err)
+		sess := s.newSessionLocked(si.ID, si.User, si.W, si.H)
+		if err := s.restoreLocked(sess, pix, si.AppState); err != nil {
+			return err
 		}
-		s.instrumentSession(sess)
-		if s.NewApp != nil {
-			sess.App = s.NewApp(si.User, si.W, si.H)
-			if p, ok := sess.App.(Persistent); ok && si.AppState != nil {
-				if err := p.RestoreState(si.AppState); err != nil {
-					return fmt.Errorf("server: restore %q app state: %w", si.User, err)
-				}
-			}
-		}
-		s.sessions[sess.ID] = sess
-		s.byUser[sess.User] = sess.ID
 	}
-	s.metrics.sessions.Set(int64(len(s.sessions)))
+	return nil
+}
+
+// restoreLocked loads saved pixels and application state into a session
+// newSessionLocked just built — the shared tail of ImportSession and
+// LoadSessions. On failure the session is torn down again the way an
+// export tears it down, leaving ID-keyed tracker state for wherever the
+// session lives on. Callers hold s.mu.
+func (s *Server) restoreLocked(sess *Session, pix []protocol.Pixel, appState []byte) error {
+	err := sess.Encoder.FB.Set(sess.Encoder.FB.Bounds(), pix)
+	if err == nil && appState != nil {
+		if p, ok := sess.App.(Persistent); ok {
+			err = p.RestoreState(appState)
+		}
+	}
+	if err != nil {
+		s.dropSessionLocked(sess, 0, false)
+		return fmt.Errorf("server: restore %q: %w", sess.User, err)
+	}
 	return nil
 }

@@ -108,26 +108,12 @@ type Session struct {
 	App     Application
 	Console string // attached console ID, "" if detached
 
-	// itp is the session's live input-to-paint histogram (§3's canonical
-	// interactive-latency metric), labeled with the user name.
-	itp *obs.Histogram
-	// flog is the session's flight-recorder ring: every protocol event on
-	// this session's display path lands here, causally chained.
-	flog *flight.SessionLog
+	// sessionTelemetry is the session's observability handle, embedded by
+	// value so the input path reaches itp and flog with no pointer hop.
+	sessionTelemetry
 	// gov paces display traffic to the console's bandwidth grant (§7);
 	// nil when the server runs without WithFlowControl.
 	gov *flow.Governor
-	// fm owns the session's labeled flow gauges so Terminate can evict
-	// them from the registry.
-	fm *flow.Metrics
-	// slo is the session's rolling SLO state (breach-rate windows, blame
-	// histogram) in the server's tracker.
-	slo *slo.SessionSLO
-	// nq is the session's passive path estimator (RTT/jitter/loss/goodput)
-	// in the server's netqual tracker. Estimators are keyed by the
-	// fleet-unique session ID, so a hotdesk migration resolves the same
-	// estimator on the destination shard and smoothed state survives.
-	nq *netqual.PathSession
 	// demandBps is the bandwidth demand last announced to the console's §7
 	// allocator; PumpFlows re-announces when the governor's measured demand
 	// drifts from it by more than 1/8.
@@ -138,16 +124,13 @@ type Session struct {
 // disabled) — simulation harnesses drive its virtual-time pump directly.
 func (sess *Session) Governor() *flow.Governor { return sess.gov }
 
-// FlightLog exposes the session's flight-recorder ring (nil before the
-// session is instrumented).
+// FlightLog exposes the session's flight-recorder ring.
 func (sess *Session) FlightLog() *flight.SessionLog { return sess.flog }
 
-// SLO exposes the session's rolling SLO state (nil before the session is
-// instrumented).
+// SLO exposes the session's rolling SLO state.
 func (sess *Session) SLO() *slo.SessionSLO { return sess.slo }
 
-// NetQual exposes the session's passive path estimator (nil before the
-// session is instrumented).
+// NetQual exposes the session's passive path estimator.
 func (sess *Session) NetQual() *netqual.PathSession { return sess.nq }
 
 // Server ties the managers together and speaks the SLIM protocol to
@@ -164,14 +147,15 @@ type Server struct {
 	consoles  map[string]*consoleState
 	nextID    uint32
 
-	// Live observability (see Instrument): the registry metrics publish
-	// into, the resolved server instruments, and the shared encoder metric
-	// family attached to every session encoder.
+	// Live observability: the registry metrics publish into (obs.Default
+	// unless redirected by WithRegistry), the resolved server instruments,
+	// and the shared encoder metric family attached to every session
+	// encoder.
 	obs        *obs.Registry
 	metrics    *metrics
 	encMetrics *core.EncoderMetrics
 	// flight is the causal flight recorder sessions record protocol
-	// events into (flight.Default unless redirected by WithFlight).
+	// events into (flight.Default unless redirected by WithFlightRecorder).
 	flight *flight.Recorder
 	// slo is the SLO tracker sessions evaluate input-to-paint latency
 	// against (slo.Default unless redirected by WithSLO).
@@ -183,9 +167,6 @@ type Server struct {
 	// log receives session lifecycle events (WithLogger); nil = silent.
 	log *slog.Logger
 
-	// optObs is the registry chosen by WithRegistry, applied by New after
-	// all options have run (nil means obs.Default).
-	optObs *obs.Registry
 	// costs is the console decode cost model flow-control defaults derive
 	// from (WithCostModel).
 	costs *core.CostModel
@@ -239,6 +220,8 @@ const RecoverGrace = 2 * time.Second
 // New returns a server sending through the given transport. Options
 // configure observability and flow control; the zero-option call keeps
 // the historical defaults (obs.Default, flight.Default, no governor).
+// Options are the only way to redirect telemetry: New resolves the
+// server's metrics and wires path evidence once, after every option ran.
 func New(t Transport, newApp func(user string, w, h int) Application, opts ...Option) *Server {
 	s := &Server{
 		Auth:      NewAuthManager(),
@@ -254,79 +237,23 @@ func New(t Transport, newApp func(user string, w, h int) Application, opts ...Op
 	for _, o := range opts {
 		o(s)
 	}
-	reg := obs.Default
-	if s.optObs != nil {
-		reg = s.optObs
+	if s.obs == nil {
+		s.obs = obs.Default
 	}
+	s.metrics = newMetrics(s.obs)
+	s.encMetrics = core.NewEncoderMetrics(s.obs)
 	if s.flowCfg != nil && s.flowCfg.Costs == nil {
 		s.flowCfg.Costs = s.costs
 	}
 	s.wirePathEvidence()
-	return s.Instrument(reg)
+	return s
 }
 
 // FlowEnabled reports whether sessions are created with a send governor.
-func (s *Server) FlowEnabled() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.flowCfg != nil
-}
-
-// WithFlight points the server's flight recorder at rec (flight.Default
-// unless redirected — hermetic tests hand each server its own recorder).
-// Call it before the first session is created; rings already resolved
-// keep recording into the old recorder.
-func (s *Server) WithFlight(rec *flight.Recorder) *Server {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.flight = rec
-	return s
-}
-
-// FlightRecorder reports the recorder sessions record into.
-func (s *Server) FlightRecorder() *flight.Recorder {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.flight
-}
-
-// WithSLOTracker points the server's SLO tracker at t (slo.Default unless
-// redirected — hermetic tests hand each server its own tracker). Call it
-// before the first session is created; sessions already instrumented keep
-// evaluating against the old tracker.
-func (s *Server) WithSLOTracker(t *slo.Tracker) *Server {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.slo = t
-	return s
-}
-
-// SLOTracker reports the tracker sessions evaluate against.
-func (s *Server) SLOTracker() *slo.Tracker {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.slo
-}
-
-// WithNetQualTracker points the server's path estimation at t
-// (netqual.Default unless redirected — hermetic tests and virtual-time
-// simulations hand each server its own sim-domain tracker). Call it
-// before the first session is created; sessions already instrumented keep
-// observing into the old tracker.
-func (s *Server) WithNetQualTracker(t *netqual.Tracker) *Server {
-	s.mu.Lock()
-	s.netqual = t
-	s.mu.Unlock()
-	s.wirePathEvidence()
-	return s
-}
+func (s *Server) FlowEnabled() bool { return s.flowCfg != nil }
 
 // NetQualTracker reports the tracker sessions observe path samples into.
-func (s *Server) NetQualTracker() *netqual.Tracker {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.netqual
-}
+func (s *Server) NetQualTracker() *netqual.Tracker { return s.netqual }
 
 // wirePathEvidence stamps the netqual tracker's measured path state into
 // the flight recorder's breach dumps: WIRE verdicts gain a LINK
@@ -334,9 +261,7 @@ func (s *Server) NetQualTracker() *netqual.Tracker {
 // estimator saw at breach time. Sessions the tracker never observed — or
 // a disarmed tracker — contribute no evidence rather than zeros.
 func (s *Server) wirePathEvidence() {
-	s.mu.Lock()
 	rec, t := s.flight, s.netqual
-	s.mu.Unlock()
 	if rec == nil || t == nil {
 		return
 	}
@@ -681,44 +606,19 @@ func (s *Server) attachUserLocked(out *[]outbound, console, user string, now tim
 	if ok {
 		sess = s.sessions[id]
 		s.metrics.reconnects.Inc()
-	} else {
-		s.nextID++
-		sess = &Session{
-			ID:      s.nextID,
-			User:    user,
-			Encoder: core.NewEncoder(cs.w, cs.h),
-		}
-		s.instrumentSession(sess)
-		if s.flowCfg != nil {
-			sess.fm = flow.NewMetrics(s.obs, user)
-			sess.gov = flow.NewGovernor(*s.flowCfg, sess.fm)
-			if s.cal != nil && s.cal.Generation() > 0 {
-				// Sessions born after calibration converged start from
-				// the measured model, not the Table 5 constants.
-				sess.gov.SetCosts(s.cal.Model())
-			}
-		}
-		if s.NewApp != nil {
-			sess.App = s.NewApp(user, cs.w, cs.h)
-		}
-		s.sessions[sess.ID] = sess
-		s.byUser[user] = sess.ID
-		s.metrics.sessions.Set(int64(len(s.sessions)))
-	}
-	s.metrics.attaches.Inc()
-	if ok {
 		// Hotdesk move or reconnect: the console — and likely the network
 		// path — changed. Rebase the estimator so stale in-flight samples
 		// from the old path never poison the new one; smoothed SRTT/jitter
 		// and the loss windows survive the cutover.
 		sess.nq.Rebase(now)
+	} else {
+		s.nextID++
+		sess = s.newSessionLocked(s.nextID, user, cs.w, cs.h)
 	}
+	s.metrics.attaches.Inc()
 	// Detach from wherever it was displayed before.
-	if sess.Console != "" && sess.Console != console {
-		if old, ok := s.consoles[sess.Console]; ok && old.session == sess.ID {
-			old.session = 0
-		}
-		s.send(out, sess.Console, &protocol.SessionDetach{SessionID: sess.ID})
+	if sess.Console != console {
+		s.detachLocked(out, sess)
 	}
 	// Evict whatever session the target console was showing.
 	if cs.session != 0 && cs.session != sess.ID {
@@ -795,26 +695,94 @@ func (s *Server) Tick(now time.Duration) error {
 	return firstErr
 }
 
+// newSessionLocked is the one session constructor: it builds the encoder,
+// the telemetry handle, the flow governor (seeded with the calibrated cost
+// model once the calibrator has converged) and the application, and
+// registers the session detached. First login, ImportSession and
+// LoadSessions all create sessions here. Callers hold s.mu.
+func (s *Server) newSessionLocked(id uint32, user string, w, h int) *Session {
+	sess := &Session{
+		ID:               id,
+		User:             user,
+		Encoder:          core.NewEncoder(w, h),
+		sessionTelemetry: s.newTelemetry(id, user),
+	}
+	sess.Encoder.Metrics = s.encMetrics
+	sess.Encoder.Parallel = s.encPool
+	sess.Encoder.Flight = sess.flog
+	if s.flowCfg != nil {
+		sess.gov = flow.NewGovernor(*s.flowCfg, sess.fm)
+		if s.cal != nil && s.cal.Generation() > 0 {
+			// Sessions born after calibration converged start from the
+			// measured model, not the Table 5 constants.
+			sess.gov.SetCosts(s.cal.Model())
+		}
+	}
+	if s.NewApp != nil {
+		sess.App = s.NewApp(user, w, h)
+	}
+	s.sessions[id] = sess
+	s.byUser[user] = id
+	s.metrics.sessions.Set(int64(len(s.sessions)))
+	return sess
+}
+
+// dropSessionLocked is the one session teardown: whatever the governor
+// still queues dies with the session (flight-logged, buffers recycled),
+// the session leaves the tables, and its telemetry is released —
+// evictByID as for sessionTelemetry.release. Callers hold s.mu and have
+// detached the session.
+func (s *Server) dropSessionLocked(sess *Session, now time.Duration, evictByID bool) {
+	if sess.gov != nil {
+		for _, it := range sess.gov.Quiesce(now) {
+			if sess.flog.Armed() {
+				sess.flog.Drop(it.Seq, it.Cmd, int64(it.Bytes()))
+			}
+			it.ReleaseWire()
+		}
+	}
+	delete(s.sessions, sess.ID)
+	delete(s.byUser, sess.User)
+	s.metrics.sessions.Set(int64(len(s.sessions)))
+	sess.release(s, sess.ID, sess.User, evictByID)
+}
+
+// detachLocked takes a session off its console: the console falls back to
+// the login screen and is told so with SessionDetach. No-op for a detached
+// session. Callers hold s.mu.
+func (s *Server) detachLocked(out *[]outbound, sess *Session) {
+	if sess.Console == "" {
+		return
+	}
+	if cs, ok := s.consoles[sess.Console]; ok && cs.session == sess.ID {
+		cs.session = 0
+	}
+	s.send(out, sess.Console, &protocol.SessionDetach{SessionID: sess.ID})
+	sess.Console = ""
+}
+
+// userSessionLocked resolves a user's session. Callers hold s.mu.
+func (s *Server) userSessionLocked(user string) (*Session, error) {
+	id, ok := s.byUser[user]
+	if !ok {
+		return nil, fmt.Errorf("server: no session for user %q", user)
+	}
+	return s.sessions[id], nil
+}
+
 // Detach removes a session from its console (card pulled) without
 // destroying it; state persists server side.
 func (s *Server) Detach(user string) error {
 	s.mu.Lock()
 	var out []outbound
-	id, ok := s.byUser[user]
-	if !ok {
+	sess, err := s.userSessionLocked(user)
+	if err != nil {
 		s.mu.Unlock()
-		return fmt.Errorf("server: no session for user %q", user)
+		return err
 	}
-	sess := s.sessions[id]
-	if sess.Console != "" {
-		if cs, ok := s.consoles[sess.Console]; ok && cs.session == id {
-			cs.session = 0
-		}
-		s.send(&out, sess.Console, &protocol.SessionDetach{SessionID: id})
-		sess.Console = ""
-	}
+	s.detachLocked(&out, sess)
 	if s.log != nil {
-		s.log.Info("session detached", "user", user, "session", id)
+		s.log.Info("session detached", "user", user, "session", sess.ID)
 	}
 	s.mu.Unlock()
 	return s.flush(out)
@@ -822,42 +790,22 @@ func (s *Server) Detach(user string) error {
 
 // Terminate destroys a user's session: the console (if any) is detached,
 // the session state is discarded, and — unlike Detach — the session's
-// observability residue is evicted too: the labeled input-to-paint
-// histogram leaves the registry and the flight-recorder ring is dropped.
-// Without this, a server that outlives many logins accumulates one
-// histogram and one 4096-slot ring per user forever.
+// observability residue is evicted too: its labeled series leave the
+// registry and its flight ring, SLO state and path estimator leave their
+// trackers. Without this, a server that outlives many logins accumulates
+// one histogram and one 4096-slot ring per user forever.
 func (s *Server) Terminate(user string) error {
 	s.mu.Lock()
 	var out []outbound
-	id, ok := s.byUser[user]
-	if !ok {
+	sess, err := s.userSessionLocked(user)
+	if err != nil {
 		s.mu.Unlock()
-		return fmt.Errorf("server: no session for user %q", user)
+		return err
 	}
-	sess := s.sessions[id]
-	if sess.Console != "" {
-		if cs, ok := s.consoles[sess.Console]; ok && cs.session == id {
-			cs.session = 0
-		}
-		s.send(&out, sess.Console, &protocol.SessionDetach{SessionID: id})
-		sess.Console = ""
-	}
-	if sess.gov != nil {
-		// Anything still queued dies with the session; recycle the buffers.
-		for _, it := range sess.gov.Reset(0) {
-			it.ReleaseWire()
-		}
-	}
-	delete(s.sessions, id)
-	delete(s.byUser, user)
-	s.metrics.sessions.Set(int64(len(s.sessions)))
-	s.obs.Remove(sessionHistogramName(user))
-	sess.fm.Unregister(s.obs)
-	s.flight.Drop(id)
-	s.slo.Remove(id)
-	s.netqual.Remove(id)
+	s.detachLocked(&out, sess)
+	s.dropSessionLocked(sess, 0, true)
 	if s.log != nil {
-		s.log.Info("session terminated", "user", user, "session", id)
+		s.log.Info("session terminated", "user", user, "session", sess.ID)
 	}
 	s.mu.Unlock()
 	return s.flush(out)
@@ -1104,9 +1052,6 @@ func (s *Server) SessionOf(console string) *Session {
 func (s *Server) SessionByUser(user string) *Session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	id, ok := s.byUser[user]
-	if !ok {
-		return nil
-	}
-	return s.sessions[id]
+	sess, _ := s.userSessionLocked(user)
+	return sess
 }
