@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench cover fuzz reproduce examples clean race bench-guard bench-json alloc-guard capacity capacity-smoke fleet-smoke netqual netqual-smoke codec2 codec2-smoke e2ebench-test ci
+.PHONY: all build test vet bench cover fuzz fuzz-smoke reproduce examples clean race hotpath-race bench-guard bench-json alloc-guard capacity capacity-smoke fleet-smoke netqual netqual-smoke codec2 codec2-smoke e2ebench-test ci
 
 all: build test
 
@@ -38,10 +38,17 @@ bench-guard:
 	$(GO) test -run xxx -bench . -benchtime 1x . ./internal/broker/ ./internal/obs/flight/ ./internal/obs/capture/ ./internal/obs/slo/ ./internal/obs/hostmon/ ./internal/obs/incident/ ./internal/obs/netqual/ ./internal/flow/ ./internal/fb/ ./internal/core/
 
 # Measure the pixel-pipeline hot paths (optimized vs slowXxx reference
-# kernels, serial vs parallel encoder) and record the numbers as JSON.
+# kernels, encoder wire path) and record the numbers as JSON.
 bench-json:
 	$(GO) test -run xxx -bench Hotpath -benchmem ./internal/fb/ ./internal/core/ | $(GO) run ./cmd/benchjson > BENCH_hotpath.json
 	@echo wrote BENCH_hotpath.json
+
+# One race-instrumented iteration of every pixel-pipeline hot-path bench
+# at 1 and 4 procs: catches data races in the pooled wire and scratch
+# buffers, which sessions on different goroutines share, that only
+# multi-proc scheduling exposes.
+hotpath-race:
+	$(GO) test -race -run xxx -bench Hotpath -benchtime 1x -cpu 1,4 ./internal/fb/ ./internal/core/
 
 # Steady-state allocation budgets on the hot paths (0 allocs/op for console
 # apply, the warm wire-emit path, the SLO observe path — disabled AND
@@ -103,10 +110,10 @@ e2ebench-test:
 	$(GO) -C e2ebench test ./...
 
 # CI-style gate: static checks, the nested benchmark module's vet and
-# tests, race-detected tests, benchmark smoke run, allocation budgets,
-# capacity-curve smoke, path-estimation smoke, gen-2 codec smoke, fleet
-# smoke.
-ci: vet e2ebench-test race bench-guard alloc-guard capacity-smoke netqual-smoke codec2-smoke fleet-smoke
+# tests, race-detected tests, benchmark smoke run, hot-path race smoke,
+# allocation budgets, capacity-curve smoke, path-estimation smoke, gen-2
+# codec smoke, fleet smoke, fuzz smoke.
+ci: vet e2ebench-test race bench-guard hotpath-race alloc-guard capacity-smoke netqual-smoke codec2-smoke fleet-smoke fuzz-smoke
 
 cover:
 	$(GO) test -cover ./...
@@ -119,6 +126,17 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecodeCSCS -fuzztime 30s ./internal/fb/
 	$(GO) test -run xxx -fuzz FuzzFBKernels -fuzztime 30s ./internal/fb/
 	$(GO) test -run xxx -fuzz FuzzTileCache -fuzztime 30s ./internal/core/
+
+# 30 s fuzz passes run by `make ci`: the message decoder; the mirrored
+# tile-cache invariants (membership/eviction agreement, content
+# addressing, claim satisfiability) under fuzzed op interleavings, seeded
+# from the checked-in wire capture; and optimized vs reference pixel
+# kernels in lockstep plus the tile-hash memo's invariant (every memoized
+# key equals a fresh hash) after every fuzzed write.
+fuzz-smoke:
+	$(GO) test -run xxx -fuzz 'FuzzDecodeMessage$$' -fuzztime 30s ./internal/protocol/
+	$(GO) test -run xxx -fuzz FuzzTileCache -fuzztime 30s ./internal/core/
+	$(GO) test -run xxx -fuzz FuzzFBKernels -fuzztime 30s ./internal/fb/
 
 # Regenerate every table and figure from the paper (quick corpus).
 reproduce:

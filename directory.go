@@ -135,9 +135,9 @@ func (b *Broker) MigrateUser(user string, shard int, now time.Duration) error {
 // their shards, as the architecture demands).
 //
 // Every shard inherits the broker-level options — WithLogger,
-// WithSLOTracker, WithFlowControl, WithCostModel, WithFlightRecorder,
-// WithParallelEncoding — from the one list passed here, so callers stop
-// re-threading them per server. Two settings are virtualized per shard
+// WithSLOTracker, WithFlowControl, WithCostModel, WithFlightRecorder —
+// from the one list passed here, so callers stop re-threading them per
+// server. Two settings are virtualized per shard
 // rather than inherited verbatim:
 //
 //   - Metrics: each shard gets a private registry (same-named server

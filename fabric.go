@@ -1,7 +1,6 @@
 package slim
 
 import (
-	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -218,14 +217,9 @@ func (f *Fabric) Send(consoleID string, wire []byte) error {
 			f.metrics.dropped.Inc()
 			srv := f.servers[consoleID]
 			f.mu.Unlock()
-			// Flight-record the loss outside f.mu: SessionOf takes the
-			// server lock, and console replies already order s.mu → f.mu.
-			if srv != nil {
-				if sess := srv.SessionOf(consoleID); sess != nil && sess.FlightLog().Armed() {
-					sess.FlightLog().Drop(binary.BigEndian.Uint32(wire[4:8]),
-						protocol.MsgType(wire[3]), int64(len(wire)))
-				}
-			}
+			// Flight-record the loss outside f.mu: console replies already
+			// order s.mu → f.mu.
+			recordWireDrop(srv, consoleID, wire)
 			return nil // the datagram vanished on the wire
 		}
 	}

@@ -6,7 +6,6 @@ import (
 
 	"slim/internal/fb"
 	"slim/internal/obs/flight"
-	"slim/internal/par"
 	"slim/internal/protocol"
 	"slim/internal/wirebuf"
 )
@@ -75,12 +74,6 @@ type Encoder struct {
 	// ENCODE stage of the causal input-to-paint chain. Nil or disabled
 	// costs one branch per command.
 	Flight *flight.SessionLog
-	// Parallel, when non-nil, shards large SET tilings and CSCS strip
-	// compression across its workers. Sequence numbers are reserved up
-	// front and results emitted in index order, so the datagram stream is
-	// byte-identical to the serial encoder's. Virtual-time simulation paths
-	// leave it nil to stay single-threaded and deterministic in timing.
-	Parallel *par.Pool
 
 	seq    protocol.Sequencer
 	replay *ReplayBuffer
@@ -109,21 +102,15 @@ func NewEncoder(w, h int) *Encoder {
 	}
 }
 
-// emit frames msg, records it for replay, and accounts for it.
+// emit assigns msg the next sequence number, marshals it into a pooled
+// wire buffer, records it for replay, and accounts for it. The returned
+// Datagram carries the send reference on the buffer.
 func (e *Encoder) emit(msg protocol.Message) Datagram {
-	return e.finish(e.seq.Next(), msg, nil)
-}
-
-// finish completes the emission of msg under an already-assigned sequence
-// number: marshalling into a pooled wire buffer (unless buf carries a
-// pre-marshalled wire from a parallel worker), retaining for replay, and
-// accounting. The returned Datagram carries the send reference on buf.
-func (e *Encoder) finish(seq uint32, msg protocol.Message, buf *wirebuf.Buf) Datagram {
+	seq := e.seq.Next()
 	d := Datagram{Seq: seq, Msg: msg}
 	if !e.SkipWire {
-		if buf == nil {
-			buf = marshalDatagram(seq, msg)
-		}
+		buf := wirebuf.Get(protocol.WireSize(msg))
+		buf.SetBytes(protocol.Encode(buf.Bytes(), seq, msg))
 		d.Wire = buf.Bytes()
 		d.Buf = buf
 		e.replay.Store(d) // the ring takes its own reference
@@ -139,13 +126,6 @@ func (e *Encoder) finish(seq uint32, msg protocol.Message, buf *wirebuf.Buf) Dat
 		e.codec2.noteEmit(e.FB, msg)
 	}
 	return d
-}
-
-// marshalDatagram frames msg into a pooled buffer.
-func marshalDatagram(seq uint32, msg protocol.Message) *wirebuf.Buf {
-	buf := wirebuf.Get(protocol.WireSize(msg))
-	buf.SetBytes(protocol.Encode(buf.Bytes(), seq, msg))
-	return buf
 }
 
 // Encode lowers one rendering op into SLIM datagrams, updating the
@@ -208,10 +188,6 @@ func (e *Encoder) encodeRegion(r protocol.Rect, pixels []protocol.Pixel) []Datag
 }
 
 // encodeSet splits a literal-pixel rectangle into MTU-sized SET commands.
-// Large tilings shard tile extraction and marshalling across the parallel
-// pool when one is attached; sequence numbers are reserved up front and
-// emission completes in index order, so the datagram stream is identical
-// to the serial path's.
 func (e *Encoder) encodeSet(r protocol.Rect, pixels []protocol.Pixel) []Datagram {
 	budget := e.MTU - 8 // rect header
 	maxPixels := max(1, budget/3)
@@ -219,22 +195,6 @@ func (e *Encoder) encodeSet(r protocol.Rect, pixels []protocol.Pixel) []Datagram
 	tileH := max(1, maxPixels/tileW)
 	tiles := tileRect(r, tileW, tileH)
 	out := make([]Datagram, 0, len(tiles))
-	if e.Parallel.Workers() > 1 && len(tiles) > 1 && !e.SkipWire {
-		firstSeq := e.seq.Reserve(len(tiles))
-		msgs := make([]*protocol.Set, len(tiles))
-		bufs := make([]*wirebuf.Buf, len(tiles))
-		e.Parallel.Do(len(tiles), func(i int) {
-			t := tiles[i]
-			sub := make([]protocol.Pixel, t.Pixels())
-			copyTile(sub, pixels, r, t)
-			m := &protocol.Set{Rect: t, Pixels: sub}
-			msgs[i], bufs[i] = m, marshalDatagram(firstSeq+uint32(i), m)
-		})
-		for i, m := range msgs {
-			out = append(out, e.finish(firstSeq+uint32(i), m, bufs[i]))
-		}
-		return out
-	}
 	for _, t := range tiles {
 		var sub []protocol.Pixel
 		if e.SkipWire {
@@ -246,18 +206,13 @@ func (e *Encoder) encodeSet(r protocol.Rect, pixels []protocol.Pixel) []Datagram
 			}
 			sub = e.setSlab[:t.Pixels()]
 		}
-		copyTile(sub, pixels, r, t)
+		for y := 0; y < t.H; y++ {
+			src := (t.Y-r.Y+y)*r.W + (t.X - r.X)
+			copy(sub[y*t.W:(y+1)*t.W], pixels[src:src+t.W])
+		}
 		out = append(out, e.emit(&protocol.Set{Rect: t, Pixels: sub}))
 	}
 	return out
-}
-
-// copyTile fills dst with tile t's rows out of the pixel rectangle r.
-func copyTile(dst []protocol.Pixel, pixels []protocol.Pixel, r, t protocol.Rect) {
-	for y := 0; y < t.H; y++ {
-		src := (t.Y-r.Y+y)*r.W + (t.X - r.X)
-		copy(dst[y*t.W:(y+1)*t.W], pixels[src:src+t.W])
-	}
 }
 
 // encodeBitmap splits a bicolor rectangle into MTU-sized BITMAP commands.
@@ -318,34 +273,18 @@ func (e *Encoder) encodeVideo(o VideoOp) ([]Datagram, error) {
 	for rows > 2 && o.Format.PayloadLen(o.Src.W, rows) > budget {
 		rows -= 2
 	}
-	// Strip geometry first, so compression can fan out over the strips.
+	// Compress every strip before touching the frame buffer, so a CSCS
+	// error leaves the frame buffer and the sequence number unchanged.
 	var strips []protocol.Rect // Y = source row offset, H = strip height
+	payloads := make([][]byte, 0, (o.Src.H+rows-1)/rows)
 	for y0 := 0; y0 < o.Src.H; y0 += rows {
-		strips = append(strips, protocol.Rect{Y: y0, W: o.Src.W, H: min(rows, o.Src.H-y0)})
-	}
-	payloads := make([][]byte, len(strips))
-	encodeStrip := func(i int) error {
-		s := strips[i]
+		s := protocol.Rect{Y: y0, W: o.Src.W, H: min(rows, o.Src.H-y0)}
 		data, err := fb.EncodeCSCS(o.Pixels[s.Y*o.Src.W:(s.Y+s.H)*o.Src.W], o.Src.W, s.H, o.Format)
-		payloads[i] = data
-		return err
-	}
-	if e.Parallel.Workers() > 1 && len(strips) > 1 {
-		// Compression reads only o.Pixels, so it parallelizes cleanly;
-		// frame-buffer application and emission stay serial and in order.
-		errs := make([]error, len(strips))
-		e.Parallel.Do(len(strips), func(i int) { errs[i] = encodeStrip(i) })
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
+		if err != nil {
+			return nil, err
 		}
-	} else {
-		for i := range strips {
-			if err := encodeStrip(i); err != nil {
-				return nil, err
-			}
-		}
+		strips = append(strips, s)
+		payloads = append(payloads, data)
 	}
 	out := make([]Datagram, 0, len(strips))
 	for i, s := range strips {

@@ -454,20 +454,43 @@ func TestReplayBufferPanicsOnBadCapacity(t *testing.T) {
 	NewReplayBuffer(0)
 }
 
+// TestSkipWire runs a fill through a SkipWire encoder and a
+// wire-generating reference: see checkSkipWire.
 func TestSkipWire(t *testing.T) {
-	e := NewEncoder(64, 64)
+	checkSkipWire(t, []Op{FillOp{Rect: protocol.Rect{W: 8, H: 8}, Color: 1}})
+}
+
+// TestSkipWireHotpath covers multi-datagram SET tilings and CSCS strips:
+// without a wire the messages own their payloads.
+func TestSkipWireHotpath(t *testing.T) {
+	checkSkipWire(t, hotpathOps(rand.New(rand.NewSource(77))))
+}
+
+// checkSkipWire encodes ops on a SkipWire encoder and on a
+// wire-generating reference: no datagram may carry a wire or a pooled
+// buffer, and rendering and accounting must match the reference.
+func checkSkipWire(t *testing.T, ops []Op) {
+	t.Helper()
+	e, ref := NewEncoder(320, 240), NewEncoder(320, 240)
 	e.SkipWire = true
-	dgs, err := e.Encode(FillOp{Rect: protocol.Rect{W: 8, H: 8}, Color: 1})
-	if err != nil {
-		t.Fatal(err)
+	for _, op := range ops {
+		dgs, err := e.Encode(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range dgs {
+			if d.Wire != nil || d.Buf != nil {
+				t.Fatalf("SkipWire datagram seq %d carries wire", d.Seq)
+			}
+		}
+		if _, err := ref.Encode(op); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if dgs[0].Wire != nil {
-		t.Error("SkipWire still marshalled bytes")
-	}
-	if e.FB.At(0, 0) != 1 {
+	if !e.FB.Equal(ref.FB) {
 		t.Error("SkipWire skipped rendering too")
 	}
-	if e.Stats.TotalCommands() != 1 {
-		t.Error("SkipWire skipped accounting")
+	if got, want := e.Stats.TotalCommands(), ref.Stats.TotalCommands(); got != want {
+		t.Errorf("SkipWire accounted %d commands, want %d", got, want)
 	}
 }

@@ -1,19 +1,19 @@
 package core
 
 import (
-	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 
-	"slim/internal/par"
 	"slim/internal/protocol"
 	"slim/internal/wirebuf"
 )
 
-// hotpathOps builds the op stream both determinism tests feed through the
-// serial and parallel encoders: a noisy image large enough to tile into
-// many SET datagrams, a multi-strip video frame, plus the single-datagram
-// commands.
+// hotpathOps builds the op stream the golden and SkipWire tests feed
+// through the encoder: a noisy image large enough to tile into many SET
+// datagrams, a multi-strip video frame, plus the single-datagram commands.
 func hotpathOps(rng *rand.Rand) []Op {
 	imgR := protocol.Rect{X: 5, Y: 7, W: 300, H: 200}
 	imgPix := make([]protocol.Pixel, imgR.Pixels())
@@ -41,66 +41,40 @@ func hotpathOps(rng *rand.Rand) []Op {
 	}
 }
 
-// TestParallelEncoderMatchesSerial is the determinism guarantee behind
-// WithParallelEncoding: a parallel encoder must produce the exact datagram
-// stream of a serial one — same sequence numbers, same wire bytes, same
-// final frame buffer.
-func TestParallelEncoderMatchesSerial(t *testing.T) {
-	serial := NewEncoder(320, 240)
-	parallel := NewEncoder(320, 240)
-	parallel.Parallel = par.New(4)
+// goldenHotpathStreamSHA256 pins the encoder's datagram stream (sequence
+// number and wire bytes of every datagram) for hotpathOps(seed 77), a full
+// repaint and one 352×240 CSCS frame. Any change to SET tiling, strip
+// geometry, sequence assignment or marshalling shows up as a different
+// digest.
+const goldenHotpathStreamSHA256 = "81d6b2256e0c97e2400b3ebe6dc9b7c8733d2951ed6b3c6e9c9a9cd37d8a7845"
 
-	run := func(e *Encoder) []Datagram {
-		var out []Datagram
-		for _, op := range hotpathOps(rand.New(rand.NewSource(77))) {
-			dgs, err := e.Encode(op)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, dgs...)
-		}
-		out = append(out, e.RepaintAll()...)
-		return out
-	}
-	sd, pd := run(serial), run(parallel)
-
-	if len(sd) != len(pd) {
-		t.Fatalf("serial emitted %d datagrams, parallel %d", len(sd), len(pd))
-	}
-	for i := range sd {
-		if sd[i].Seq != pd[i].Seq {
-			t.Fatalf("datagram %d: seq %d vs %d", i, sd[i].Seq, pd[i].Seq)
-		}
-		if !bytes.Equal(sd[i].Wire, pd[i].Wire) {
-			t.Fatalf("datagram %d (seq %d, %v): wire bytes differ",
-				i, sd[i].Seq, sd[i].Msg.Type())
+// TestGoldenHotpathStream covers SET tiling, BITMAP, FILL, COPY and
+// multi-strip CSCS in one seeded stream and pins its SHA-256.
+func TestGoldenHotpathStream(t *testing.T) {
+	e := NewEncoder(352, 288)
+	stream := sha256.New()
+	write := func(dgs []Datagram) {
+		for i := range dgs {
+			stream.Write(binary.BigEndian.AppendUint32(nil, dgs[i].Seq))
+			stream.Write(dgs[i].Wire)
+			dgs[i].ReleaseWire()
 		}
 	}
-	if !serial.FB.Equal(parallel.FB) {
-		t.Fatal("frame buffers diverged")
-	}
-	if serial.LastSeq() != parallel.LastSeq() {
-		t.Fatalf("last seq %d vs %d", serial.LastSeq(), parallel.LastSeq())
-	}
-}
-
-// TestParallelSkipWireStaysSerial pins the gate: SkipWire encoders never
-// shard SETs (their messages own their payloads and no wire is made), and
-// still produce the same command stream.
-func TestParallelSkipWireStaysSerial(t *testing.T) {
-	e := NewEncoder(320, 240)
-	e.SkipWire = true
-	e.Parallel = par.New(4)
 	for _, op := range hotpathOps(rand.New(rand.NewSource(77))) {
 		dgs, err := e.Encode(op)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, d := range dgs {
-			if d.Wire != nil || d.Buf != nil {
-				t.Fatal("SkipWire datagram carries wire")
-			}
-		}
+		write(dgs)
+	}
+	write(e.RepaintAll())
+	dgs, err := e.Encode(videoOp352x240())
+	if err != nil {
+		t.Fatal(err)
+	}
+	write(dgs)
+	if got := hex.EncodeToString(stream.Sum(nil)); got != goldenHotpathStreamSHA256 {
+		t.Errorf("datagram stream SHA-256 = %s, want %s", got, goldenHotpathStreamSHA256)
 	}
 }
 
@@ -186,7 +160,7 @@ func TestEmitZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// --- BenchmarkHotpath_*: encoder wire path, serial vs parallel ---
+// --- BenchmarkHotpath_*: encoder wire path ---
 
 func BenchmarkHotpath_EmitFill(b *testing.B) {
 	e := NewEncoder(64, 64)
@@ -203,11 +177,8 @@ func BenchmarkHotpath_EmitFill(b *testing.B) {
 	}
 }
 
-func benchRepaint(b *testing.B, workers int) {
+func BenchmarkHotpath_RepaintAllSerial(b *testing.B) {
 	e := NewEncoder(1280, 1024)
-	if workers > 1 {
-		e.Parallel = par.New(workers)
-	}
 	rng := rand.New(rand.NewSource(3))
 	for i := range e.FB.Pix {
 		e.FB.Pix[i] = protocol.Pixel(rng.Uint32() & 0xffffff)
@@ -222,26 +193,26 @@ func benchRepaint(b *testing.B, workers int) {
 	}
 }
 
-func BenchmarkHotpath_RepaintAllSerial(b *testing.B)    { benchRepaint(b, 1) }
-func BenchmarkHotpath_RepaintAllParallel4(b *testing.B) { benchRepaint(b, 4) }
-
-func benchVideo(b *testing.B, workers int) {
-	e := NewEncoder(352, 288)
-	if workers > 1 {
-		e.Parallel = par.New(workers)
-	}
+// videoOp352x240 is one CIF-width CSCS12 frame of a smooth gradient,
+// several MTU-sized strips tall.
+func videoOp352x240() VideoOp {
 	const vw, vh = 352, 240
 	pix := make([]protocol.Pixel, vw*vh)
 	for i := range pix {
 		pix[i] = protocol.RGB(uint8(i), uint8(i/vw), 128)
 	}
-	op := VideoOp{
+	return VideoOp{
 		Src:    protocol.Rect{W: vw, H: vh},
 		Dst:    protocol.Rect{W: vw, H: vh},
 		Format: protocol.CSCS12,
 		Pixels: pix,
 	}
-	b.SetBytes(int64(vw * vh * 4))
+}
+
+func BenchmarkHotpath_EncodeVideoSerial(b *testing.B) {
+	e := NewEncoder(352, 288)
+	op := videoOp352x240()
+	b.SetBytes(int64(op.Src.Pixels() * 4))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -254,6 +225,3 @@ func benchVideo(b *testing.B, workers int) {
 		}
 	}
 }
-
-func BenchmarkHotpath_EncodeVideoSerial(b *testing.B)    { benchVideo(b, 1) }
-func BenchmarkHotpath_EncodeVideoParallel4(b *testing.B) { benchVideo(b, 4) }

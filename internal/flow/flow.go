@@ -42,12 +42,9 @@ import (
 )
 
 // Config tunes one session's governor. The zero value plus withDefaults
-// is a working configuration; Enabled gates whether the server builds
-// governors at all.
+// is a working configuration; the server builds governors only when
+// flow control is configured, and otherwise sends at wire speed.
 type Config struct {
-	// Enabled turns flow control on. Disabled servers send at wire speed
-	// (the pre-governor behavior) and pay nothing.
-	Enabled bool
 	// InitialBps is the demand the server requests from the console's
 	// allocator at session attach, before any grant arrives. 0 derives it
 	// from the cost model (DefaultDemandBps).

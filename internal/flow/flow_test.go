@@ -433,7 +433,7 @@ func BenchmarkSubmitGoverned(b *testing.B) {
 // into the demand/burst arithmetic the caller left to the defaults, while
 // explicit operator settings survive recalibration.
 func TestSetCostsRecomputesDerivedConfig(t *testing.T) {
-	g := NewGovernor(Config{Enabled: true}, nil)
+	g := NewGovernor(Config{}, nil)
 	before := g.Config()
 	// A console measured 4x slower than Table 5 halves what a quantum can
 	// decode: demand and burst must shrink.
@@ -470,7 +470,7 @@ func TestSetCostsRecomputesDerivedConfig(t *testing.T) {
 // TestSetCostsPreservesExplicitConfig: operator-pinned demand and burst
 // are not recomputed.
 func TestSetCostsPreservesExplicitConfig(t *testing.T) {
-	g := NewGovernor(Config{Enabled: true, InitialBps: 123456, BurstBytes: 4096}, nil)
+	g := NewGovernor(Config{InitialBps: 123456, BurstBytes: 4096}, nil)
 	slow := core.SunRay1Costs()
 	for ty, v := range slow.PerPixel {
 		slow.PerPixel[ty] = v * 10

@@ -9,7 +9,6 @@ import (
 	"slim/internal/obs/flight"
 	"slim/internal/obs/netqual"
 	"slim/internal/obs/slo"
-	"slim/internal/par"
 )
 
 // Option configures a Server at construction. Options are the only way to
@@ -75,16 +74,6 @@ func WithCalibratedCosts(cal *core.Calibrator) Option {
 	return func(s *Server) { s.cal = cal }
 }
 
-// WithParallelEncoding shards large repaint tilings and CSCS strip
-// compression in every session's encoder across a bounded worker pool
-// (workers <= 0 means GOMAXPROCS) — the §6 SMP-scaling story applied to a
-// single session's encode path. The datagram stream is byte-identical to
-// serial encoding; only wall-clock time changes, which is why virtual-time
-// simulations leave this off.
-func WithParallelEncoding(workers int) Option {
-	return func(s *Server) { s.encPool = par.New(workers) }
-}
-
 // WithCodec2 arms the gen-2 encoder: content-typed tiles plus the
 // hash-keyed dirty-tile cache. Armed servers negotiate per attachment —
 // the cache engages only for consoles whose Hello advertised
@@ -109,7 +98,7 @@ func WithSessionIDBase(base uint32) Option {
 // see before fanning the same option list out to its shards — the shared
 // registry its fleet rollup publishes into, and the logger for broker-level
 // lifecycle events. Everything else (flow config, cost model, SLO tracker,
-// flight recorder, parallel encoding) is inherited opaquely by each shard.
+// flight recorder) is inherited opaquely by each shard.
 type Resolved struct {
 	Registry *obs.Registry
 	Logger   *slog.Logger
@@ -136,8 +125,5 @@ func ResolveOptions(opts ...Option) Resolved {
 // Zero-value fields take the flow package defaults; a nil cfg.Costs picks
 // up WithCostModel.
 func WithFlowControl(cfg flow.Config) Option {
-	return func(s *Server) {
-		cfg.Enabled = true
-		s.flowCfg = &cfg
-	}
+	return func(s *Server) { s.flowCfg = &cfg }
 }

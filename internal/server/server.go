@@ -20,7 +20,6 @@ import (
 	"slim/internal/obs/flight"
 	"slim/internal/obs/netqual"
 	"slim/internal/obs/slo"
-	"slim/internal/par"
 	"slim/internal/protocol"
 	"slim/internal/wirebuf"
 )
@@ -179,9 +178,6 @@ type Server struct {
 	cal *core.Calibrator
 	// calGen is the calibrator generation last applied to the governors.
 	calGen uint64
-	// encPool, when non-nil, is shared by every session encoder to shard
-	// large repaints and CSCS compression (WithParallelEncoding).
-	encPool *par.Pool
 	// codec2 arms the gen-2 tile cache (WithCodec2). The cache engages
 	// per attachment, only for consoles that advertised CapCachePaint in
 	// their Hello; gen-1 consoles keep receiving the plain encoding.
@@ -708,7 +704,6 @@ func (s *Server) newSessionLocked(id uint32, user string, w, h int) *Session {
 		sessionTelemetry: s.newTelemetry(id, user),
 	}
 	sess.Encoder.Metrics = s.encMetrics
-	sess.Encoder.Parallel = s.encPool
 	sess.Encoder.Flight = sess.flog
 	if s.flowCfg != nil {
 		sess.gov = flow.NewGovernor(*s.flowCfg, sess.fm)

@@ -34,7 +34,9 @@ func NewNTSCSource(seed uint64) VideoSource { return video.NewNTSC(seed) }
 func NewQuakeSource(w, h int, seed uint64) VideoSource { return video.NewQuake(w, h, seed) }
 
 // StartTicker drives Ticker applications (video players) at the given
-// rate until the server is closed.
+// rate until the server is closed. Ticks read the listener's clock, the
+// one the serve loop and the flow pacer use, and Close waits for a tick
+// in progress to finish.
 func (s *UDPServer) StartTicker(fps float64) {
 	s.udpListener.startTicker(fps, s.Server.Tick)
 }
@@ -50,8 +52,18 @@ func (l *udpListener) startTicker(fps float64, tick func(time.Duration) error) {
 		fps = 30
 	}
 	interval := time.Duration(float64(time.Second) / fps)
-	start := time.Now()
+	// Register under mu, which Close holds to close l.closed: Close
+	// either waits for this goroutine or it never starts.
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	select {
+	case <-l.closed:
+		return
+	default:
+	}
+	l.tickers.Add(1)
 	go func() {
+		defer l.tickers.Done()
 		t := time.NewTicker(interval)
 		defer t.Stop()
 		for {
@@ -60,7 +72,7 @@ func (l *udpListener) startTicker(fps float64, tick func(time.Duration) error) {
 				return
 			case <-t.C:
 				// Per-session errors must not stop the clock.
-				_ = tick(time.Since(start))
+				_ = tick(time.Since(l.start))
 			}
 		}
 	}()

@@ -149,12 +149,6 @@ const DefaultTileCacheEntries = core.DefaultTileCacheEntries
 // TileCacheEntries > 0); everyone else keeps the gen-1 command stream.
 func WithCodec2() ServerOption { return server.WithCodec2() }
 
-// WithParallelEncoding shards large repaints and CSCS video compression in
-// every session's encoder across a bounded worker pool (workers <= 0 means
-// GOMAXPROCS). The emitted datagram stream is byte-identical to serial
-// encoding — only encode wall-clock time changes.
-func WithParallelEncoding(workers int) ServerOption { return server.WithParallelEncoding(workers) }
-
 // WithMetricsRegistry redirects the server's live metrics into r instead
 // of the process-wide registry.
 func WithMetricsRegistry(r *MetricsRegistry) ServerOption { return server.WithRegistry(r) }

@@ -1,6 +1,7 @@
 package slim
 
 import (
+	"encoding/binary"
 	"net"
 	"time"
 
@@ -36,6 +37,20 @@ type SessionHandler interface {
 	PumpFlows(now time.Duration) (next time.Duration, pending bool, err error)
 	// FlowEnabled reports whether any session runs a send governor.
 	FlowEnabled() bool
+}
+
+// recordWireDrop flight-records a display datagram lost on its way to a
+// console, so the session's causal chain shows a TX with no RX and a
+// DROP. Both transports call it with their own locks released: SessionOf
+// takes the server lock.
+func recordWireDrop(h SessionHandler, consoleID string, wire []byte) {
+	if h == nil || !isDisplayDatagram(wire) {
+		return
+	}
+	if sess := h.SessionOf(consoleID); sess != nil && sess.FlightLog().Armed() {
+		sess.FlightLog().Drop(binary.BigEndian.Uint32(wire[4:8]),
+			protocol.MsgType(wire[3]), int64(len(wire)))
+	}
 }
 
 // InputSink is a console-side user: keystrokes, pointer motion, typed

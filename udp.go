@@ -2,7 +2,6 @@ package slim
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -61,9 +60,10 @@ type udpListener struct {
 	closeOnce sync.Once
 	closeErr  error
 	closed    chan struct{}
-	done      chan struct{} // closed when the serve goroutine has exited
-	pacerDone chan struct{} // closed when the flow pacer has exited (flow only)
-	start     time.Time     // shared epoch for serve and the flow pacer
+	done      chan struct{}  // closed when the serve goroutine has exited
+	pacerDone chan struct{}  // closed when the flow pacer has exited (flow only)
+	tickers   sync.WaitGroup // StartTicker goroutines; Add under mu
+	start     time.Time      // shared epoch for serve, the flow pacer and ticks
 	metrics   *udpMetrics
 	// capture is the wire tap (capture.Default): every datagram this
 	// transport sends or receives is recorded when the ring is enabled.
@@ -175,13 +175,18 @@ func (s *udpListener) Addr() net.Addr { return s.conn.LocalAddr() }
 // Idempotent: concurrent and repeated calls all wait for shutdown.
 func (s *udpListener) Close() error {
 	s.closeOnce.Do(func() {
+		// Under mu: a StartTicker either registered before this or sees
+		// s.closed and starts nothing.
+		s.mu.Lock()
 		close(s.closed)
+		s.mu.Unlock()
 		s.closeErr = s.conn.Close()
 	})
 	<-s.done
 	if s.pacerDone != nil {
 		<-s.pacerDone
 	}
+	s.tickers.Wait()
 	return s.closeErr
 }
 
@@ -226,14 +231,7 @@ func (s *udpListener) Send(consoleID string, wire []byte) error {
 	s.metrics.sendSeconds.Observe(time.Since(t0))
 	if err != nil {
 		s.metrics.txErrors.Inc()
-		// The command never made the wire: flight-record the loss so the
-		// session's causal chain shows a TX with no RX and a DROP.
-		if isDisplayDatagram(wire) && s.handler != nil {
-			if sess := s.handler.SessionOf(consoleID); sess != nil && sess.FlightLog().Armed() {
-				sess.FlightLog().Drop(binary.BigEndian.Uint32(wire[4:8]),
-					protocol.MsgType(wire[3]), int64(len(wire)))
-			}
-		}
+		recordWireDrop(s.handler, consoleID, wire)
 		return err
 	}
 	s.metrics.txDatagrams.Inc()
